@@ -38,12 +38,14 @@ test:
 # its batch kernels, the parallel scan engine and its SQL front end,
 # role-based service routing, the reader fleet and its session router, the
 # role-transition broker, the reconnecting TCP transport, and the public
-# Session API.
+# Session API. The flight recorder's concurrent-capture ordering test is
+# repeated 50 times: its interleavings only show up over many runs.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/standby/... ./internal/core/... \
 		./internal/imcs/... ./internal/scanengine/... ./internal/sqlmini/... \
 		./internal/service/... ./internal/fleet/... ./internal/router/... \
 		./internal/broker/... ./internal/transport/... ./internal/checkpoint/... .
+	$(GO) test -race -count=50 -run TestFlightRecorderConcurrentCapture ./internal/obs
 
 # Deterministic chaos harness: seeded fault injection against the full
 # primary→transport→standby pipeline with a cross-node equivalence oracle

@@ -62,7 +62,9 @@ type Config struct {
 	BlocksPerIMCU int
 	// ApplyWorkers is the standby's recovery parallelism (default 4).
 	ApplyWorkers int
-	// CheckpointInterval is the QuerySCN advancement period (default 2ms).
+	// CheckpointInterval is the standby coordinator's idle backstop period
+	// (default 2ms). The QuerySCN advances as soon as redo apply signals
+	// progress; this tick is only a backstop for when no signal arrives.
 	CheckpointInterval time.Duration
 	// SnapshotDir, when non-empty, enables IMCS checkpointing on the standby:
 	// a background checkpointer periodically persists the column store (every

@@ -82,9 +82,14 @@ func fileName(at scn.SCN) string {
 	return fmt.Sprintf("%s%016x%s", filePrefix, uint64(at), fileSuffix)
 }
 
-// Write encodes the images into dir/ckpt-<scn>.imcs, fsync-free but crash-safe
-// via temp-file + atomic rename: either the complete new file is visible under
-// its final name or it is not visible at all.
+// Write encodes the images into dir/ckpt-<scn>.imcs and makes it durable:
+// the temp file is fsynced, renamed into place, and then the directory is
+// fsynced so the rename itself survives a power loss. Either the complete new
+// file is visible under its final name or it is not visible at all, and once
+// Write returns, the file is on stable storage — only then may older
+// snapshots be pruned. Without the first fsync a power loss could persist the
+// rename but not the data, leaving a truncated newest file (LoadNewest then
+// skips it to the older snapshot, which is why pruning must wait).
 func Write(dir string, meta Meta, images []imcs.UnitImage) (Meta, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Meta{}, fmt.Errorf("checkpoint: %w", err)
@@ -167,6 +172,9 @@ func Write(dir string, meta Meta, images []imcs.UnitImage) (Meta, error) {
 	if err := bw.Flush(); err != nil {
 		return abort(err)
 	}
+	if err := f.Sync(); err != nil {
+		return abort(err)
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return Meta{}, fmt.Errorf("checkpoint: %w", err)
@@ -175,10 +183,26 @@ func Write(dir string, meta Meta, images []imcs.UnitImage) (Meta, error) {
 		os.Remove(tmp)
 		return Meta{}, fmt.Errorf("checkpoint: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		return Meta{}, fmt.Errorf("checkpoint: %w", err)
+	}
 	meta.Path = final
 	meta.Units = len(images)
 	meta.Bytes = written
 	return meta, nil
+}
+
+// syncDir fsyncs a directory, persisting the entries (renames) made in it.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // readMeta parses and validates the header of one checkpoint file.

@@ -228,7 +228,7 @@ func TestCheckpointRoundTripEncodings(t *testing.T) {
 // full-rebuild fallback. Nothing may load a silently wrong store.
 func TestCheckpointCorruptionDetected(t *testing.T) {
 	f := newFixture(t, 120)
-	_, meta := writeCheckpoint(t, f, t.TempDir())
+	images, meta := writeCheckpoint(t, f, t.TempDir())
 	good, err := os.ReadFile(meta.Path)
 	if err != nil {
 		t.Fatal(err)
@@ -279,6 +279,30 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	})
 	t.Run("trailing-garbage", func(t *testing.T) {
 		check(t, "appended", append(append([]byte(nil), good...), 0xEE))
+	})
+	t.Run("rename-persisted-data-not", func(t *testing.T) {
+		// Power loss after the rename reached the directory but before the
+		// file's data did: the newest name holds only a prefix of its bytes
+		// (often none). LoadNewest must skip it to the older snapshot — the
+		// one that pruning would have removed had Write not made the new
+		// file durable first.
+		for _, n := range []int{0, 52, len(good) / 2, len(good) - 1} {
+			dir := t.TempDir()
+			older, err := checkpoint.Write(dir, checkpoint.Meta{SCN: meta.SCN - 1}, images)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), good[:n], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			snap, _, err := checkpoint.LoadNewest(dir, f.resolve)
+			if err != nil {
+				t.Fatalf("truncate@%d: LoadNewest: %v, want the older snapshot", n, err)
+			}
+			if snap.Meta.SCN != older.SCN {
+				t.Fatalf("truncate@%d: LoadNewest restored scn=%d, want older scn=%d", n, snap.Meta.SCN, older.SCN)
+			}
+		}
 	})
 }
 

@@ -145,6 +145,8 @@ func (r *Runner) Checkpoint() (Meta, error) {
 	}
 	r.written.Add(1)
 	r.totalBytes.Add(meta.Bytes)
+	// Write returned, so the new file is durable: the older snapshots it
+	// supersedes can go.
 	Prune(r.cfg.Dir, r.cfg.Retain)
 	return meta, nil
 }

@@ -150,6 +150,9 @@ type Worklink struct {
 	nodes []*CommitNode
 	next  atomic.Int64
 	done  atomic.Int64
+
+	drainedOnce sync.Once
+	drained     chan struct{} // closed once every node is flushed
 }
 
 // Len returns the total number of nodes.
@@ -176,12 +179,30 @@ func (w *Worklink) NextBatch(n int) []*CommitNode {
 	}
 }
 
-// MarkDone records that n claimed nodes have been flushed.
+// MarkDone records that n claimed nodes have been flushed. The call that
+// flushes the last node closes the Done channel, after its count is stored.
 func (w *Worklink) MarkDone(n int) {
-	w.done.Add(int64(n))
+	if n > 0 && w.done.Add(int64(n)) == int64(len(w.nodes)) {
+		close(w.drainedCh())
+	}
 }
 
 // Drained reports whether every node has been claimed and flushed.
 func (w *Worklink) Drained() bool {
 	return w.done.Load() >= int64(len(w.nodes))
+}
+
+// Done returns a channel that is closed once every node has been flushed
+// (at once for an empty worklink): the coordinator blocks on it instead of
+// polling Drained while helpers finish their claimed batches.
+func (w *Worklink) Done() <-chan struct{} { return w.drainedCh() }
+
+func (w *Worklink) drainedCh() chan struct{} {
+	w.drainedOnce.Do(func() {
+		w.drained = make(chan struct{})
+		if len(w.nodes) == 0 {
+			close(w.drained)
+		}
+	})
+	return w.drained
 }

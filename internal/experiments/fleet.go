@@ -40,8 +40,12 @@ type FleetOverloadResult struct {
 	Placed   int64
 	Shed     int64
 	NoReader int64
-	// ScansRun counts placed sessions that completed their scan.
-	ScansRun int64
+	// ScansRun counts individual scans that completed under a placement;
+	// ReportsRun counts placements whose whole scanBatch report finished
+	// before the storm stopped. On a slow host most reports are cut off by
+	// the stop, so ScansRun is the liveness signal.
+	ScansRun   int64
+	ReportsRun int64
 	// RouteP50/P95/P99 are placement-latency quantiles in milliseconds across
 	// every Place attempt, sheds included — the "bounded p99" claim.
 	RouteP50Ms float64
@@ -184,7 +188,7 @@ func RunFleetOverload(p Params) (*FleetOverloadResult, error) {
 	}
 	stop := make(chan struct{})
 	var stormWG sync.WaitGroup
-	var scans atomic.Int64
+	var scans, reports atomic.Int64
 	before := rtr.Totals()
 	for i := 0; i < sessions; i++ {
 		stormWG.Add(1)
@@ -221,6 +225,7 @@ func RunFleetOverload(p Params) (*FleetOverloadResult, error) {
 						ok = false
 						break
 					}
+					scans.Add(1)
 					select {
 					case <-stop:
 						ok = false
@@ -228,7 +233,7 @@ func RunFleetOverload(p Params) (*FleetOverloadResult, error) {
 					}
 				}
 				if ok {
-					scans.Add(1)
+					reports.Add(1)
 				}
 				pl.Release()
 			}
@@ -253,6 +258,7 @@ func RunFleetOverload(p Params) (*FleetOverloadResult, error) {
 	res.Shed = tot.Shed - before.Shed
 	res.NoReader = tot.NoReader - before.NoReader
 	res.ScansRun = scans.Load()
+	res.ReportsRun = reports.Load()
 	res.RouteP50Ms = tot.PlaceP50MS
 	res.RouteP95Ms = tot.PlaceP95MS
 	res.RouteP99Ms = tot.PlaceP99MS
@@ -271,6 +277,7 @@ func (r *FleetOverloadResult) String() string {
 			{"shed (ErrOverloaded)", fmt.Sprintf("%d", r.Shed)},
 			{"no reader", fmt.Sprintf("%d", r.NoReader)},
 			{"scans completed", fmt.Sprintf("%d", r.ScansRun)},
+			{"reports completed", fmt.Sprintf("%d", r.ReportsRun)},
 		})
 	out += fmt.Sprintf("routing latency p50=%.3fms p95=%.3fms p99=%.3fms (sheds included)\n",
 		r.RouteP50Ms, r.RouteP95Ms, r.RouteP99Ms)

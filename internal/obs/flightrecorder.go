@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"cmp"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"time"
 )
@@ -49,7 +51,7 @@ type FlightRecorder struct {
 	traceTail    int
 
 	mu        sync.Mutex
-	ring      []*Bundle // oldest first, len <= cap(ring)
+	ring      []*Bundle // ascending Seq (oldest first), len <= capacity
 	capacity  int
 	seq       int64
 	providers map[string]StateFunc
@@ -83,8 +85,9 @@ func (fr *FlightRecorder) AddState(name string, fn StateFunc) {
 	fr.mu.Unlock()
 }
 
-// Capture snapshots a bundle and appends it to the ring, evicting the oldest
-// when full. stages may be nil for manual captures outside the watchdog.
+// Capture snapshots a bundle and inserts it into the ring in Seq order,
+// evicting the oldest when full. stages may be nil for manual captures
+// outside the watchdog.
 func (fr *FlightRecorder) Capture(reason string, stages []StageHealth) *Bundle {
 	if fr == nil {
 		return nil
@@ -115,14 +118,19 @@ func (fr *FlightRecorder) Capture(reason string, stages []StageHealth) *Bundle {
 	}
 	b.Goroutines = goroutineDump(fr.maxGoroutine)
 
+	// Insert by seq, not arrival: concurrent captures finish assembling in
+	// any order, and the ring must stay seq-ordered so Last is the newest
+	// bundle and eviction drops the oldest.
 	fr.mu.Lock()
+	defer fr.mu.Unlock()
 	if len(fr.ring) == fr.capacity {
-		copy(fr.ring, fr.ring[1:])
-		fr.ring[len(fr.ring)-1] = b
-	} else {
-		fr.ring = append(fr.ring, b)
+		if seq < fr.ring[0].Seq {
+			return b // older than every retained bundle: evicted at once
+		}
+		fr.ring = append(fr.ring[:0], fr.ring[1:]...)
 	}
-	fr.mu.Unlock()
+	i, _ := slices.BinarySearchFunc(fr.ring, seq, func(x *Bundle, s int64) int { return cmp.Compare(x.Seq, s) })
+	fr.ring = slices.Insert(fr.ring, i, b)
 	return b
 }
 

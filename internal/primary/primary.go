@@ -259,7 +259,7 @@ type LogWriter struct {
 func (w *LogWriter) Emit(cvs []redo.CV) scn.SCN {
 	w.mu.Lock()
 	s := w.clock.Next()
-	w.stream.Append(&redo.Record{SCN: s, Thread: w.thread, CVs: cvs, OriginNS: time.Now().UnixNano()})
+	w.append(s, cvs)
 	w.mu.Unlock()
 	return s
 }
@@ -269,13 +269,21 @@ func (w *LogWriter) EmitCommit(cvs []redo.CV, commitHook func(scn.SCN)) scn.SCN 
 	w.gate.Lock()
 	w.mu.Lock()
 	s := w.clock.Next()
-	w.stream.Append(&redo.Record{SCN: s, Thread: w.thread, CVs: cvs, OriginNS: time.Now().UnixNano()})
+	w.append(s, cvs)
 	if commitHook != nil {
 		commitHook(s)
 	}
 	w.mu.Unlock()
 	w.gate.Unlock()
 	return s
+}
+
+// append builds the record at SCN s and appends it to the redo thread. The
+// record is sized here, once, as it is built; nothing downstream re-encodes
+// it to account redo volume.
+func (w *LogWriter) append(s scn.SCN, cvs []redo.CV) {
+	rec := &redo.Record{SCN: s, Thread: w.thread, CVs: cvs, OriginNS: time.Now().UnixNano()}
+	w.stream.Append(rec, redo.EncodedSize(rec))
 }
 
 // Snapshot implements txn.RedoEmitter.

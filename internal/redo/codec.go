@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scn"
@@ -343,38 +344,80 @@ func WriteEOL(w io.Writer) error {
 }
 
 // ReadFrame reads one length-prefixed record from r and verifies its CRC-32C
-// before decoding. It returns ErrEndOfLog when the sender wrote the
-// end-of-log sentinel, and a *ChecksumError when the body does not match its
-// checksum (the caller should refetch the record from the archived log).
-func ReadFrame(r io.Reader) (*Record, error) {
+// before decoding. It also returns the frame's body length, which is the
+// record's EncodedSize, so a receiver accounts redo volume without
+// re-encoding. It returns ErrEndOfLog when the sender wrote the end-of-log
+// sentinel, and a *ChecksumError when the body does not match its checksum
+// (the caller should refetch the record from the archived log).
+func ReadFrame(r io.Reader) (*Record, int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n == eolFrame {
-		return nil, ErrEndOfLog
+		return nil, 0, ErrEndOfLog
 	}
 	if n > MaxFrameSize {
-		return nil, fmt.Errorf("redo: frame of %d bytes exceeds limit", n)
+		return nil, 0, fmt.Errorf("redo: frame of %d bytes exceeds limit", n)
 	}
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	want := binary.BigEndian.Uint32(crcBuf[:])
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if got := crc32.Checksum(body, castagnoli); got != want {
-		return nil, &ChecksumError{Want: want, Got: got}
+		return nil, 0, &ChecksumError{Want: want, Got: got}
 	}
-	return DecodeRecord(body)
+	rec, err := DecodeRecord(body)
+	return rec, int(n), err
 }
 
-// EncodedSize returns the wire size of a record (without the frame header);
+// EncodedSize returns the wire size of a record (without the frame header),
+// i.e. len(AppendRecord(nil, r)), computed field by field without encoding;
 // used to account redo volume for the log-advancement experiment (Fig. 11).
 func EncodedSize(r *Record) int {
-	return len(AppendRecord(nil, r))
+	n := uvarintLen(uint64(r.SCN)) + uvarintLen(uint64(r.Thread)) + uvarintLen(uint64(len(r.CVs)))
+	for i := range r.CVs {
+		n += cvSize(&r.CVs[i])
+	}
+	if r.OriginNS > 0 {
+		k := uvarintLen(uint64(r.OriginNS))
+		n += 1 + uvarintLen(uint64(k)) + k
+	}
+	return n
+}
+
+// cvSize mirrors appendCV.
+func cvSize(cv *CV) int {
+	n := 1 + uvarintLen(uint64(cv.Txn)) + uvarintLen(uint64(cv.Tenant)) +
+		uvarintLen(uint64(cv.DBA)) + uvarintLen(uint64(cv.Slot)) + 1
+	n += uvarintLen(uint64(len(cv.ChangedCols)))
+	for _, c := range cv.ChangedCols {
+		n += uvarintLen(uint64(c))
+	}
+	n += uvarintLen(uint64(len(cv.Row.Nums)))
+	for _, v := range cv.Row.Nums {
+		n += uvarintLen(uint64(v<<1) ^ uint64(v>>63)) // zig-zag, as AppendVarint
+	}
+	n += uvarintLen(uint64(len(cv.Row.Strs)))
+	for _, str := range cv.Row.Strs {
+		n += uvarintLen(uint64(len(str))) + len(str)
+	}
+	if cv.Kind == CVMarker {
+		// Markers are rare DDL records; a marshal error yields the same
+		// empty payload appendCV encodes.
+		payload, _ := json.Marshal(cv.Marker)
+		n += uvarintLen(uint64(len(payload))) + len(payload)
+	}
+	return n
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }

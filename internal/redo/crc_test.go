@@ -19,7 +19,7 @@ func TestFrameChecksumBitFlip(t *testing.T) {
 	for i := range frame {
 		mut := append([]byte(nil), frame...)
 		mut[i] ^= 0x40
-		rec, err := ReadFrame(bytes.NewReader(mut))
+		rec, _, err := ReadFrame(bytes.NewReader(mut))
 		if err == nil {
 			t.Fatalf("bit flip at offset %d went undetected (decoded SCN %d)", i, rec.SCN)
 		}
@@ -45,7 +45,7 @@ func TestFrameChecksumBitFlip(t *testing.T) {
 func TestFrameTruncated(t *testing.T) {
 	frame := AppendFrame(nil, sampleRecord())
 	for n := 0; n < len(frame); n++ {
-		_, err := ReadFrame(bytes.NewReader(frame[:n]))
+		_, _, err := ReadFrame(bytes.NewReader(frame[:n]))
 		if err == nil {
 			t.Fatalf("truncation to %d/%d bytes went undetected", n, len(frame))
 		}
@@ -54,7 +54,7 @@ func TestFrameTruncated(t *testing.T) {
 		}
 	}
 	// Zero bytes is a clean EOF (connection closed between frames).
-	if _, err := ReadFrame(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
+	if _, _, err := ReadFrame(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty reader: got %v, want io.EOF", err)
 	}
 }
@@ -71,12 +71,15 @@ func TestFrameChecksumRoundTrip(t *testing.T) {
 	if app := AppendFrame(nil, r); !bytes.Equal(app, buf.Bytes()) || n != len(app) {
 		t.Fatalf("WriteFrame and AppendFrame disagree (%d vs %d bytes)", n, len(app))
 	}
-	got, err := ReadFrame(&buf)
+	got, size, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.SCN != r.SCN || len(got.CVs) != len(r.CVs) {
 		t.Fatalf("round trip mangled record: %+v", got)
+	}
+	if size != EncodedSize(r) {
+		t.Fatalf("ReadFrame size = %d, EncodedSize = %d", size, EncodedSize(r))
 	}
 }
 
@@ -90,7 +93,7 @@ func TestEOLSentinel(t *testing.T) {
 	if buf.Len() != 4 {
 		t.Fatalf("EOL frame is %d bytes, want header-only 4", buf.Len())
 	}
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrEndOfLog) {
+	if _, _, err := ReadFrame(&buf); !errors.Is(err, ErrEndOfLog) {
 		t.Fatalf("got %v, want ErrEndOfLog", err)
 	}
 }

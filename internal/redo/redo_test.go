@@ -61,7 +61,11 @@ func TestCodecMarkerRoundTrip(t *testing.T) {
 			},
 		}},
 	}
-	got, err := DecodeRecord(AppendRecord(nil, r))
+	buf := AppendRecord(nil, r)
+	if n := EncodedSize(r); n != len(buf) {
+		t.Fatalf("EncodedSize = %d, encoding is %d bytes", n, len(buf))
+	}
+	got, err := DecodeRecord(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +109,9 @@ func TestCodecRandomRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rec := &Record{SCN: scn.SCN(rng.Uint64() >> 1), Thread: uint16(rng.Intn(4))}
+		if rng.Intn(2) == 0 {
+			rec.OriginNS = rng.Int63()
+		}
 		nCV := rng.Intn(6)
 		for i := 0; i < nCV; i++ {
 			cv := CV{
@@ -130,8 +137,9 @@ func TestCodecRandomRoundTrip(t *testing.T) {
 			}
 			rec.CVs = append(rec.CVs, cv)
 		}
-		got, err := DecodeRecord(AppendRecord(nil, rec))
-		return err == nil && reflect.DeepEqual(rec, got)
+		buf := AppendRecord(nil, rec)
+		got, err := DecodeRecord(buf)
+		return err == nil && reflect.DeepEqual(rec, got) && EncodedSize(rec) == len(buf)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -148,11 +156,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	if _, err := WriteFrame(&buf, r2); err != nil {
 		t.Fatal(err)
 	}
-	g1, err := ReadFrame(&buf)
+	g1, _, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadFrame(&buf)
+	g2, _, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +172,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameLimit(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, _, err := ReadFrame(&buf); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -172,7 +180,7 @@ func TestFrameLimit(t *testing.T) {
 func TestStreamAppendRead(t *testing.T) {
 	s := NewStream(1)
 	for i := 1; i <= 10; i++ {
-		s.Append(&Record{SCN: scn.SCN(i * 10), Thread: 1})
+		s.Append(&Record{SCN: scn.SCN(i * 10), Thread: 1}, 3)
 	}
 	if s.Len() != 10 {
 		t.Fatalf("Len = %d", s.Len())
@@ -180,8 +188,8 @@ func TestStreamAppendRead(t *testing.T) {
 	if s.LastSCN() != 100 {
 		t.Fatalf("LastSCN = %d", s.LastSCN())
 	}
-	if s.Bytes() <= 0 {
-		t.Fatal("Bytes not accounted")
+	if s.Bytes() != 30 {
+		t.Fatalf("Bytes = %d, want the 30 appended", s.Bytes())
 	}
 	rd := NewReader(s, 0)
 	for i := 1; i <= 10; i++ {
@@ -198,13 +206,13 @@ func TestStreamAppendRead(t *testing.T) {
 
 func TestStreamOutOfOrderPanics(t *testing.T) {
 	s := NewStream(1)
-	s.Append(&Record{SCN: 100})
+	s.Append(&Record{SCN: 100}, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-order append did not panic")
 		}
 	}()
-	s.Append(&Record{SCN: 50})
+	s.Append(&Record{SCN: 50}, 0)
 }
 
 func TestStreamBlockingReader(t *testing.T) {
@@ -219,7 +227,7 @@ func TestStreamBlockingReader(t *testing.T) {
 			got <- rec.SCN
 		}
 	}()
-	s.Append(&Record{SCN: 7})
+	s.Append(&Record{SCN: 7}, 0)
 	wg.Wait()
 	if v := <-got; v != 7 {
 		t.Fatalf("blocked reader got %d", v)
@@ -229,7 +237,7 @@ func TestStreamBlockingReader(t *testing.T) {
 func TestStreamReattachAtSCN(t *testing.T) {
 	s := NewStream(1)
 	for i := 1; i <= 10; i++ {
-		s.Append(&Record{SCN: scn.SCN(i * 10)})
+		s.Append(&Record{SCN: scn.SCN(i * 10)}, 0)
 	}
 	rd := NewReaderAtSCN(s, 55)
 	rec, ok := rd.Next()
@@ -250,7 +258,7 @@ func TestStreamTryNext(t *testing.T) {
 	if _, ok, eol := rd.TryNext(); ok || eol {
 		t.Fatal("empty open stream should report not-ready")
 	}
-	s.Append(&Record{SCN: 1})
+	s.Append(&Record{SCN: 1}, 0)
 	if rec, ok, _ := rd.TryNext(); !ok || rec.SCN != 1 {
 		t.Fatal("TryNext missed appended record")
 	}
@@ -276,7 +284,7 @@ func TestCodecOriginExtensionRoundTrip(t *testing.T) {
 	if _, err := WriteFrame(&w, r); err != nil {
 		t.Fatal(err)
 	}
-	got2, err := ReadFrame(&w)
+	got2, _, err := ReadFrame(&w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,4 +347,39 @@ func TestCodecExtensionCorruption(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStreamSubscribeWakes: one cap-1 channel subscribed to two streams
+// receives a wake-up for an append on either and for a close; wake-ups that
+// arrive while nobody listens coalesce, and Unsubscribe stops them.
+func TestStreamSubscribeWakes(t *testing.T) {
+	a, b := NewStream(1), NewStream(2)
+	wake := make(chan struct{}, 1)
+	a.Subscribe(wake)
+	b.Subscribe(wake)
+	expect := func(label string, want bool) {
+		t.Helper()
+		select {
+		case <-wake:
+			if !want {
+				t.Fatalf("%s: unexpected wake-up", label)
+			}
+		default:
+			if want {
+				t.Fatalf("%s: no wake-up", label)
+			}
+		}
+	}
+	expect("idle", false)
+	a.Append(&Record{SCN: 1}, 0)
+	expect("append on a", true)
+	b.Append(&Record{SCN: 2}, 0)
+	b.Append(&Record{SCN: 3}, 0)
+	expect("two appends on b", true)
+	expect("coalesced", false)
+	a.Close()
+	expect("close of a", true)
+	b.Unsubscribe(wake)
+	b.Append(&Record{SCN: 4}, 0)
+	expect("after unsubscribe", false)
 }

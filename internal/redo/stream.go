@@ -9,7 +9,7 @@ import (
 // Stream is one redo thread's log: an SCN-ordered, append-only sequence of
 // records. It doubles as the archived log — readers can (re-)attach at any
 // position, which is how the standby resumes recovery after a restart
-// (§III.E). Appends wake blocked readers.
+// (§III.E). Appends wake blocked readers and subscribed wake channels.
 type Stream struct {
 	thread uint16
 
@@ -18,6 +18,7 @@ type Stream struct {
 	recs   []*Record
 	bytes  int64
 	closed bool
+	subs   []chan<- struct{}
 }
 
 // NewStream returns an empty stream for the given redo thread.
@@ -30,10 +31,14 @@ func NewStream(thread uint16) *Stream {
 // Thread returns the generating instance (redo thread) id.
 func (s *Stream) Thread() uint16 { return s.thread }
 
-// Append adds a record to the log. Records must arrive in non-decreasing SCN
-// order within a stream; Append panics otherwise, since out-of-order redo
-// within a thread indicates a bug in redo generation.
-func (s *Stream) Append(r *Record) {
+// Append adds a record to the log. size is the record's encoded size
+// (EncodedSize), accounted into Bytes; the caller supplies it because it
+// already knows it (the log writer sizes the record it builds, the transport
+// receiver counts the frame it read), so the stream never re-encodes. Records
+// must arrive in non-decreasing SCN order within a stream; Append panics
+// otherwise, since out-of-order redo within a thread indicates a bug in redo
+// generation.
+func (s *Stream) Append(r *Record, size int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -43,8 +48,8 @@ func (s *Stream) Append(r *Record) {
 		panic("redo: out-of-order append within a redo thread")
 	}
 	s.recs = append(s.recs, r)
-	s.bytes += int64(EncodedSize(r))
-	s.cond.Broadcast()
+	s.bytes += int64(size)
+	s.wakeLocked()
 }
 
 // Close marks the stream complete (primary shutdown); blocked readers drain
@@ -52,8 +57,49 @@ func (s *Stream) Append(r *Record) {
 func (s *Stream) Close() {
 	s.mu.Lock()
 	s.closed = true
-	s.cond.Broadcast()
+	s.wakeLocked()
 	s.mu.Unlock()
+}
+
+// wakeLocked announces an append or the close to every waiter. It runs after
+// the state change it announces, under the same lock, which is what makes
+// Subscribe free of lost wake-ups.
+func (s *Stream) wakeLocked() {
+	s.cond.Broadcast()
+	for _, ch := range s.subs {
+		select {
+		case ch <- struct{}{}:
+		default: // a wake-up is already pending; they coalesce
+		}
+	}
+}
+
+// Subscribe registers ch for a non-blocking send after every Append and on
+// Close. ch should have capacity 1, so wake-ups that arrive while its owner
+// is busy coalesce into one. One channel may be subscribed to several
+// streams; its owner then wakes when any of them changes.
+//
+// The owner's wait loop must subscribe before its first read attempt, then
+// read (TryNext) until nothing is left and only then block on ch. A record
+// appended after a read attempt missed it sends on ch after it is stored, so
+// the token is already buffered when the owner blocks: no wake-up is lost.
+// Wake-ups may be spurious; the owner simply reads again.
+func (s *Stream) Subscribe(ch chan<- struct{}) {
+	s.mu.Lock()
+	s.subs = append(s.subs, ch)
+	s.mu.Unlock()
+}
+
+// Unsubscribe removes a channel registered with Subscribe.
+func (s *Stream) Unsubscribe(ch chan<- struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, c := range s.subs {
+		if c == ch {
+			s.subs = append(s.subs[:i], s.subs[i+1:]...)
+			return
+		}
+	}
 }
 
 // Len returns the number of archived records.

@@ -42,9 +42,24 @@ type MarkerEvent struct {
 // recovery workers. A record from thread i is released only when every other
 // live thread has been observed past its SCN (primary heartbeats bound the
 // wait on idle threads).
+//
+// When a pass over the threads makes no progress the merger blocks on one
+// wake channel subscribed to every stream, so an append (or close) on any
+// thread wakes it — the record it was missing, or the other thread's SCN
+// that makes a held record safe to release.
 func (inst *Instance) mergerLoop() {
 	defer inst.wg.Done()
 	streams := inst.src.Streams()
+	// Subscribed before the first read: see redo.Stream.Subscribe.
+	wake := make(chan struct{}, 1)
+	for _, s := range streams {
+		s.Subscribe(wake)
+	}
+	defer func() {
+		for _, s := range streams {
+			s.Unsubscribe(wake)
+		}
+	}()
 	readers := make([]*redo.Reader, len(streams))
 	peeks := make([]*redo.Record, len(streams))
 	peekAt := make([]time.Time, len(streams)) // merge-stage entry per peek
@@ -125,7 +140,11 @@ func (inst *Instance) mergerLoop() {
 			}
 		}
 		if !progress {
-			time.Sleep(100 * time.Microsecond)
+			select {
+			case <-inst.stop:
+				return
+			case <-wake:
+			}
 		}
 	}
 }
@@ -158,10 +177,13 @@ func (inst *Instance) dispatch(r *redo.Record) bool {
 		}
 	}
 	inst.recordsApplied.Add(1)
+	// Trace before the frontier moves: from then on the coordinator may
+	// publish this SCN, which closes its freshness span.
+	inst.trace.Observe(obs.StageDispatch, uint64(r.SCN), time.Since(start))
 	// Publish the dispatch frontier only after every CV is enqueued: the
 	// coordinator's watermark proof depends on this ordering.
 	inst.lastDispatched.Store(uint64(r.SCN))
-	inst.trace.Observe(obs.StageDispatch, uint64(r.SCN), time.Since(start))
+	inst.kickCoordinator()
 	return true
 }
 
@@ -187,11 +209,14 @@ func (inst *Instance) workerLoop(w *applyWorker) {
 			return
 		case t := <-w.ch:
 			inst.applyCV(w.id, t.scn, t.cv)
+			// Trace before the counters move, for the same reason as the
+			// dispatcher: they let the coordinator publish this SCN.
+			inst.trace.Observe(obs.StageApply, uint64(t.scn), time.Since(t.enq))
 			w.appliedSCN.Store(uint64(t.scn))
 			w.applied.Add(1)
 			inst.cvsApplied.Add(1)
 			inst.applyBeat.Tick()
-			inst.trace.Observe(obs.StageApply, uint64(t.scn), time.Since(t.enq))
+			inst.kickCoordinator()
 			if !inst.cfg.DisableCoopFlush {
 				if wl := inst.pendingWL.Load(); wl != nil {
 					inst.flusher.DrainWorklink(wl, inst.cfg.FlushBatch)
@@ -318,10 +343,20 @@ func (inst *Instance) waitWorkersDrained() bool {
 	}
 }
 
-// coordinatorLoop is the recovery coordinator: it periodically establishes a
-// new consistency point (§II.A) — flushing pending invalidations first
-// (§III.D) and applying mined DDL (§III.G) — and publishes it as the
-// QuerySCN under the quiesce lock (§III.A).
+// coordinatorLoop is the recovery coordinator: it establishes a new
+// consistency point (§II.A) — flushing pending invalidations first (§III.D)
+// and applying mined DDL (§III.G) — and publishes it as the QuerySCN under
+// the quiesce lock (§III.A).
+//
+// It advances when kicked, not on a timer: the dispatcher kicks after it
+// stores the dispatch frontier and each worker after its apply counters
+// move, i.e. after every state change that can raise the watermark. Each kick
+// is sent after the store it announces, and the cap-1 channel keeps a kick
+// that arrives while an advance runs, so the advance that consumes it reads
+// at least that state: no progress is left unpublished (the lost-wakeup
+// argument). Kicks coalesce while an advance runs, which batches the
+// consistency points of a high commit rate into one publish (group publish).
+// CheckpointInterval remains as an idle backstop tick.
 func (inst *Instance) coordinatorLoop() {
 	defer inst.wg.Done()
 	ticker := time.NewTicker(inst.cfg.CheckpointInterval)
@@ -330,9 +365,19 @@ func (inst *Instance) coordinatorLoop() {
 		select {
 		case <-inst.stop:
 			return
+		case <-inst.kick:
 		case <-ticker.C:
-			inst.advance()
 		}
+		inst.advance()
+	}
+}
+
+// kickCoordinator wakes the recovery coordinator without blocking; callers
+// invoke it only after storing the progress it announces.
+func (inst *Instance) kickCoordinator() {
+	select {
+	case inst.kick <- struct{}{}:
+	default: // a kick is already pending; it covers this one
 	}
 }
 
@@ -399,13 +444,12 @@ func (inst *Instance) advance() {
 			inst.pendingWL.Store(wl)
 		}
 		inst.flusher.DrainWorklink(wl, inst.cfg.FlushBatch)
-		for !wl.Drained() {
-			select {
-			case <-inst.stop:
-				return
-			default:
-				time.Sleep(10 * time.Microsecond)
-			}
+		// Helpers may still be flushing batches they claimed; the last one
+		// to finish closes Done.
+		select {
+		case <-wl.Done():
+		case <-inst.stop:
+			return
 		}
 		inst.pendingWL.Store(nil)
 	}
@@ -418,7 +462,7 @@ func (inst *Instance) advance() {
 	for _, m := range inst.ddl.Collect(target) {
 		events = append(events, &MarkerEvent{Marker: m, DroppedObjs: inst.applyDDLToIMCS(m)})
 	}
-	inst.querySCN.Store(uint64(target))
+	inst.setQuerySCN(target)
 	inst.advances.Add(1)
 	// Close every sampled span this consistency point covers. All pipeline
 	// work for SCNs <= target finished above (the worklink drained before the

@@ -30,8 +30,10 @@ import (
 type Config struct {
 	// ApplyWorkers is the number of recovery worker processes (default 4).
 	ApplyWorkers int
-	// CheckpointInterval is the recovery coordinator's QuerySCN advancement
-	// period (default 2ms).
+	// CheckpointInterval is the recovery coordinator's idle backstop period
+	// (default 2ms). The coordinator advances the QuerySCN as soon as redo
+	// apply signals progress; this tick is only a backstop for when no
+	// signal arrives.
 	CheckpointInterval time.Duration
 	// CommitTableParts partitions the IM-ADG Commit Table (default 4).
 	CommitTableParts int
@@ -113,7 +115,7 @@ type Config struct {
 	// replays only archived redo past the checkpoint SCN, and StartFrom does
 	// the same when rebuilding a standby after a switchover. Distinct from
 	// CheckpointInterval above, which is the (unfortunately named, paper
-	// §III.A) QuerySCN advancement period.
+	// §III.A) QuerySCN advancement backstop.
 	SnapshotDir string
 	// SnapshotInterval is the background checkpointer's period (default 1s
 	// when SnapshotDir is set; negative = on-demand checkpoints only, via
@@ -222,6 +224,11 @@ type Instance struct {
 	querySCN atomic.Uint64
 	quiesce  sync.RWMutex // the Quiesce lock (§III.A)
 
+	// published is closed (and cleared) by every QuerySCN store; WaitForSCN
+	// blocks on it. Created on demand by the first waiter after a store.
+	publishMu sync.Mutex
+	published chan struct{}
+
 	// roleMask is the set of roles this instance currently serves. A standby
 	// starts as RoleStandby; promotion ORs in RolePrimary so population
 	// policies resolve services against the promoted node (§I: after a
@@ -242,6 +249,7 @@ type Instance struct {
 	onPublish   func(q scn.SCN, markers []*MarkerEvent)
 
 	stop    chan struct{}
+	kick    chan struct{} // cap 1: wakes the coordinator (kickCoordinator)
 	wg      sync.WaitGroup
 	started bool
 
@@ -1011,6 +1019,7 @@ func (inst *Instance) Start() {
 	}
 	inst.started = true
 	inst.stop = make(chan struct{})
+	inst.kick = make(chan struct{}, 1)
 	inst.endOfRedo = make(chan struct{})
 	inst.workers = make([]*applyWorker, inst.cfg.ApplyWorkers)
 	for i := range inst.workers {
@@ -1174,7 +1183,7 @@ func (inst *Instance) Restart(src transport.Source) error {
 	if ckptSCN, ok := inst.restoreFromCheckpoint(floor, watermark); ok {
 		start = ckptSCN
 	}
-	inst.querySCN.Store(uint64(start))
+	inst.setQuerySCN(start)
 	inst.watermark.Store(uint64(start))
 	inst.lastDispatched.Store(uint64(start))
 	inst.startSCN = start
@@ -1229,16 +1238,47 @@ func (inst *Instance) Stats() Stats {
 
 // WaitForSCN blocks until the QuerySCN reaches at least target or the timeout
 // expires; it reports whether the target was reached. It is the standby
-// analogue of "wait until the standby has caught up with the primary".
+// analogue of "wait until the standby has caught up with the primary". It
+// sleeps until the next QuerySCN publication rather than polling.
 func (inst *Instance) WaitForSCN(target scn.SCN, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		// Take the channel before reading the QuerySCN: a publication that
+		// the read misses stores first and then closes this very channel.
+		next := inst.nextPublish()
 		if inst.QuerySCN() >= target {
 			return true
 		}
-		time.Sleep(200 * time.Microsecond)
+		select {
+		case <-next:
+		case <-timer.C:
+			return inst.QuerySCN() >= target
+		}
 	}
-	return inst.QuerySCN() >= target
+}
+
+// nextPublish returns a channel that the next QuerySCN store closes.
+func (inst *Instance) nextPublish() <-chan struct{} {
+	inst.publishMu.Lock()
+	defer inst.publishMu.Unlock()
+	if inst.published == nil {
+		inst.published = make(chan struct{})
+	}
+	return inst.published
+}
+
+// setQuerySCN publishes q as the QuerySCN and then wakes WaitForSCN callers.
+// The store precedes the wake-up, so a waiter either sees q on its read or
+// holds the channel this call closes.
+func (inst *Instance) setQuerySCN(q scn.SCN) {
+	inst.querySCN.Store(uint64(q))
+	inst.publishMu.Lock()
+	if inst.published != nil {
+		close(inst.published)
+		inst.published = nil
+	}
+	inst.publishMu.Unlock()
 }
 
 // quiesceSnapshotter captures population snapshots under the quiesce lock

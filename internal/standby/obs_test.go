@@ -53,8 +53,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	sby := standby.New(standby.Config{
 		RowsPerBlock: 32,
-		// A coarse checkpoint period keeps the watermark visibly behind the
-		// dispatch frontier while the load runs, making apply lag observable.
+		// A coarse backstop period: the QuerySCN advances on apply progress,
+		// so this tick plays no part in the lag observed below.
 		CheckpointInterval: 25 * time.Millisecond,
 		PopulationInterval: time.Millisecond,
 		BlocksPerIMCU:      8,
@@ -66,8 +66,10 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	defer sby.Stop()
 
 	// Poll the derived apply-lag gauge while the insert load dispatches: the
-	// watermark only advances on coordinator ticks, so sustained dispatch must
-	// expose a nonzero lag sample.
+	// dispatcher enqueues change vectors ahead of the workers applying them,
+	// and the watermark is only recomputed when the coordinator runs an
+	// advancement (kicks coalesce while one is in flight), so sustained
+	// dispatch must expose a nonzero lag sample.
 	var maxLag atomic.Int64
 	pollStop := make(chan struct{})
 	var pollWG sync.WaitGroup

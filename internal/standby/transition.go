@@ -79,9 +79,7 @@ func (inst *Instance) terminalAdvance() scn.SCN {
 	wl := commits.Chop(target)
 	if wl.Len() > 0 {
 		flusher.DrainWorklink(wl, inst.cfg.FlushBatch)
-		for !wl.Drained() {
-			time.Sleep(10 * time.Microsecond)
-		}
+		<-wl.Done()
 	}
 	if inst.remote != nil {
 		inst.remote.Barrier()
@@ -90,7 +88,7 @@ func (inst *Instance) terminalAdvance() scn.SCN {
 	for _, m := range inst.ddl.Collect(target) {
 		events = append(events, &MarkerEvent{Marker: m, DroppedObjs: inst.applyDDLToIMCS(m)})
 	}
-	inst.querySCN.Store(uint64(target))
+	inst.setQuerySCN(target)
 	inst.advances.Add(1)
 	inst.freshness.Publish(uint64(target))
 	if inst.onPublish != nil {
@@ -159,7 +157,7 @@ func (inst *Instance) StartFrom(src transport.Source, resume scn.SCN) {
 	if ckptSCN, ok := inst.restoreFromCheckpoint(0, resume); ok {
 		start = ckptSCN
 	}
-	inst.querySCN.Store(uint64(start))
+	inst.setQuerySCN(start)
 	inst.watermark.Store(uint64(start))
 	inst.lastDispatched.Store(uint64(start))
 	inst.startSCN = start

@@ -14,6 +14,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -71,6 +72,7 @@ type Server struct {
 
 	mu     sync.Mutex
 	closed bool
+	done   chan struct{} // closed by Close: wakes handlers waiting for redo
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
 }
@@ -80,6 +82,7 @@ func NewServer(l net.Listener, streams ...*redo.Stream) *Server {
 	s := &Server{
 		ln:      l,
 		streams: make(map[uint16]*redo.Stream, len(streams)),
+		done:    make(chan struct{}),
 		conns:   make(map[net.Conn]struct{}),
 	}
 	for _, st := range streams {
@@ -96,7 +99,10 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the server and waits for connection handlers.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	s.closed = true
+	if !s.closed {
+		s.closed = true
+		close(s.done)
+	}
 	for c := range s.conns {
 		c.Close()
 	}
@@ -172,39 +178,63 @@ func (s *Server) serve(conn net.Conn) {
 		_ = redo.WriteEOL(conn) // no such log: an empty, already-ended thread
 		return
 	}
+	// Subscribe before the first read so an append racing the read still
+	// leaves a wake-up token (see redo.Stream.Subscribe).
+	wake := make(chan struct{}, 1)
+	stream.Subscribe(wake)
+	defer stream.Unsubscribe(wake)
 	rd := redo.NewReaderAtSCN(stream, from)
+	// Frames that are ready together go out in one write (group shipping):
+	// a transaction's DML and commit records usually arrive back to back,
+	// and one write wakes the receiver once for both.
+	var out []byte
+	flush := func() bool {
+		if len(out) == 0 {
+			return true
+		}
+		_, err := conn.Write(out)
+		out = out[:0]
+		return err == nil
+	}
 	var held []byte // frame parked by FaultReorder, shipped after its successor
 	for {
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return
-		}
-		// Non-blocking read with a short poll: a blocking read could pin the
-		// handler past Close when the primary never closes its stream.
 		rec, ok, eol := rd.TryNext()
 		if eol {
-			if held != nil {
-				if _, err := conn.Write(held); err != nil {
-					return
-				}
+			out = append(out, held...)
+			if flush() {
+				_ = redo.WriteEOL(conn) // clean end of log, not a drop
 			}
-			_ = redo.WriteEOL(conn) // clean end of log, not a drop
 			return
 		}
 		if !ok {
-			time.Sleep(500 * time.Microsecond)
-			continue
+			if len(out) > 0 {
+				if !flush() {
+					return
+				}
+				continue // more may have arrived during the write
+			}
+			// Caught up: sleep until the stream changes or the server
+			// closes. A blocking stream read would pin the handler past
+			// Close when the primary never closes its stream.
+			select {
+			case <-wake:
+				continue
+			case <-s.done:
+				return
+			}
 		}
-		frame := redo.AppendFrame(nil, rec)
+		start := len(out)
+		out = redo.AppendFrame(out, rec)
 		if fi := s.injector.Load(); fi != nil {
+			frame := out[start:]
 			d := fi.nextDecision()
 			switch d.kind {
 			case FaultDrop:
 				// Severing here loses nothing: the receiver redials at
 				// LastSCN+1 and this record is re-read from the stream. A held
 				// reordered frame is likewise re-served after reconnect.
+				out = out[:start]
+				flush()
 				return
 			case FaultPartial:
 				cut := int(d.cut * float64(len(frame)))
@@ -214,15 +244,23 @@ func (s *Server) serve(conn net.Conn) {
 				if cut >= len(frame) {
 					cut = len(frame) - 1
 				}
-				_, _ = conn.Write(frame[:cut])
+				out = out[:start+cut]
+				flush()
 				return
 			case FaultDelay:
+				frame = append([]byte(nil), frame...)
+				out = out[:start]
+				if !flush() {
+					return
+				}
 				time.Sleep(d.delay)
+				out = append(out, frame...)
 			case FaultDup:
-				frame = append(frame, frame...)
+				out = append(out, frame...)
 			case FaultReorder:
 				if held == nil {
-					held = frame
+					held = append([]byte(nil), frame...)
+					out = out[:start]
 					continue // ship it after the next frame
 				}
 				// Already holding one; don't stack swaps.
@@ -235,17 +273,18 @@ func (s *Server) serve(conn net.Conn) {
 				}
 			}
 		}
-		if _, err := conn.Write(frame); err != nil {
-			return
-		}
 		if held != nil {
-			if _, err := conn.Write(held); err != nil {
-				return
-			}
+			out = append(out, held...)
 			held = nil
+		}
+		if len(out) >= maxShipBatch && !flush() {
+			return
 		}
 	}
 }
+
+// maxShipBatch caps the bytes a shipping handler gathers before it writes.
+const maxShipBatch = 64 << 10
 
 // Reconnect backoff bounds: the pump redials after a dropped connection with
 // exponential backoff plus jitter, capped so a long partition never pushes
@@ -446,7 +485,7 @@ func (r *Receiver) pump(th uint16, conn net.Conn, mirror *redo.Stream, from scn.
 	// The reorder window outlives individual connections: records a dying
 	// connection managed to deliver stay buffered, and the redial's refetch
 	// fills the gaps below them. See Options.ReorderWindow.
-	var window []*redo.Record
+	var window []framed
 	for {
 		before := r.frames.Load()
 		err := r.drainConn(conn, mirror, &window)
@@ -492,6 +531,16 @@ func (r *Receiver) pump(th uint16, conn net.Conn, mirror *redo.Stream, from scn.
 	}
 }
 
+// framed is a received record with its frame body length (its encoded size),
+// kept together so the redo volume is accounted without re-encoding.
+type framed struct {
+	rec  *redo.Record
+	size int
+}
+
+// recvBufSize is the receive buffer per shipping connection.
+const recvBufSize = 32 << 10
+
 // drainConn reads frames until the connection errors or signals end-of-log.
 // Records already in the mirror (duplicates after FaultDup) or already
 // buffered are dropped; with a ReorderWindow, records are buffered in *wp and
@@ -505,15 +554,18 @@ func (r *Receiver) pump(th uint16, conn net.Conn, mirror *redo.Stream, from scn.
 // in ascending SCN order from the resume point and FaultReorder displaces a
 // frame by at most one position, so any not-yet-delivered SCN is above all
 // but the newest buffered record.
-func (r *Receiver) drainConn(conn net.Conn, mirror *redo.Stream, wp *[]*redo.Record) error {
-	release := func(rec *redo.Record) {
-		mirror.Append(rec)
+func (r *Receiver) drainConn(conn net.Conn, mirror *redo.Stream, wp *[]framed) error {
+	release := func(f framed) {
+		mirror.Append(f.rec, f.size)
 		r.records.Add(1)
-		r.bytes.Add(int64(redo.EncodedSize(rec)))
+		r.bytes.Add(int64(f.size))
 	}
+	// ReadFrame reads a frame in three pieces; the buffer turns them
+	// into one read call per burst of frames instead of three per frame.
+	br := bufio.NewReaderSize(conn, recvBufSize)
 	for {
 		start := time.Now()
-		rec, err := redo.ReadFrame(conn)
+		rec, size, err := redo.ReadFrame(br)
 		if err == nil {
 			r.frames.Add(1)
 		}
@@ -538,18 +590,18 @@ func (r *Receiver) drainConn(conn net.Conn, mirror *redo.Stream, wp *[]*redo.Rec
 		}
 		r.trace.Load().Observe(obs.StageShip, uint64(rec.SCN), time.Since(start))
 		if r.opts.ReorderWindow < 2 {
-			release(rec)
+			release(framed{rec, size})
 			continue
 		}
 		window := *wp
-		i := sort.Search(len(window), func(i int) bool { return window[i].SCN >= rec.SCN })
-		if i < len(window) && window[i].SCN == rec.SCN {
+		i := sort.Search(len(window), func(i int) bool { return window[i].rec.SCN >= rec.SCN })
+		if i < len(window) && window[i].rec.SCN == rec.SCN {
 			r.dups.Add(1)
 			continue
 		}
-		window = append(window, nil)
+		window = append(window, framed{})
 		copy(window[i+1:], window[i:])
-		window[i] = rec
+		window[i] = framed{rec, size}
 		r.windowed.Add(1)
 		for len(window) > r.opts.ReorderWindow {
 			release(window[0])

@@ -14,13 +14,16 @@ import (
 func mkStream(thread uint16, scns ...scn.SCN) *redo.Stream {
 	s := redo.NewStream(thread)
 	for _, v := range scns {
-		s.Append(&redo.Record{SCN: v, Thread: thread, CVs: []redo.CV{{
+		put(s, &redo.Record{SCN: v, Thread: thread, CVs: []redo.CV{{
 			Kind: redo.CVInsert, Txn: 1, DBA: rowstore.MakeDBA(1, 0),
 			Row: rowstore.Row{Nums: []int64{int64(v)}},
 		}}})
 	}
 	return s
 }
+
+// put appends r to s, accounting its encoded size as the log writer does.
+func put(s *redo.Stream, r *redo.Record) { s.Append(r, redo.EncodedSize(r)) }
 
 func TestInProc(t *testing.T) {
 	s1 := mkStream(1, 1, 2, 3)
@@ -76,9 +79,19 @@ func TestTCPShipsRecords(t *testing.T) {
 		t.Fatalf("record content mangled: %+v", m1[2])
 	}
 	// Live append flows through.
-	s1.Append(&redo.Record{SCN: 40, Thread: 1})
+	put(s1, &redo.Record{SCN: 40, Thread: 1})
 	if got := drain(t, rcv.Streams()[0], 4, 5*time.Second); len(got) != 4 || got[3].SCN != 40 {
 		t.Fatalf("live record not shipped: %d", len(got))
+	}
+	// The receiver accounts redo volume from the frame lengths it reads;
+	// they must sum to what the primary's streams accounted.
+	want := s1.Bytes() + s2.Bytes()
+	testutil.Eventually(t, 5*time.Second, func() bool { return rcv.BytesReceived() == want },
+		"BytesReceived = %d, primary streams hold %d", rcv.BytesReceived(), want)
+	for i, m := range rcv.Streams() {
+		if want := []*redo.Stream{s1, s2}[i].Bytes(); m.Bytes() != want {
+			t.Fatalf("mirror %d accounts %d bytes, primary stream %d", i, m.Bytes(), want)
+		}
 	}
 }
 
@@ -153,7 +166,7 @@ func TestTCPReconnectResumes(t *testing.T) {
 	// must redial and resume at LastSCN()+1 — no record lost, none duplicated.
 	srv.DropConnections()
 	for _, v := range []scn.SCN{40, 50, 60} {
-		s1.Append(&redo.Record{SCN: v, Thread: 1, CVs: []redo.CV{{
+		put(s1, &redo.Record{SCN: v, Thread: 1, CVs: []redo.CV{{
 			Kind: redo.CVInsert, Txn: 1, DBA: rowstore.MakeDBA(1, 0),
 			Row: rowstore.Row{Nums: []int64{int64(v)}},
 		}}})
@@ -174,7 +187,7 @@ func TestTCPReconnectResumes(t *testing.T) {
 	// A second round proves the backoff reset: the link is healthy again, so
 	// another drop-and-resume cycle completes promptly.
 	srv.DropConnections()
-	s1.Append(&redo.Record{SCN: 70, Thread: 1})
+	put(s1, &redo.Record{SCN: 70, Thread: 1})
 	if got := drain(t, rcv.Streams()[0], 7, 10*time.Second); len(got) != 7 || got[6].SCN != 70 {
 		t.Fatalf("second reconnect cycle failed: %d records", len(got))
 	}
@@ -195,4 +208,35 @@ func TestTCPUnknownThread(t *testing.T) {
 	if _, ok := rd.Next(); ok {
 		t.Fatal("record shipped for unknown thread")
 	}
+}
+
+// TestServerCloseWakesIdleHandler: a shipping handler that has caught up
+// blocks until its stream changes, so Server.Close must wake it (not wait
+// for an append that never comes) and leave no handler goroutine behind.
+func TestServerCloseWakesIdleHandler(t *testing.T) {
+	s1 := mkStream(1, 10)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ln, s1)
+	rcv, err := Connect(srv.Addr(), []uint16{1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(t, rcv.Streams()[0], 1, 5*time.Second); len(got) != 1 {
+		t.Fatalf("mirrored %d records, want 1", len(got))
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close did not return with a handler idle on an open stream")
+	}
+	rcv.Close()
+	testutil.NoGoroutineLeak(t, "dbimadg/internal/transport")
 }
